@@ -39,7 +39,6 @@ __all__ = [
     "Task",
     "run_task",
     "run_task_armed",
-    "run_task_timed",
     "sweep_optimal_pd",
     "trace_digest",
 ]
@@ -58,18 +57,24 @@ def sweep_optimal_pd(
 ) -> int:
     """Offline per-benchmark PD sweep (defines SPDP-B, as in the paper).
 
-    Uses the timing-free replay driver and picks the PD with the lowest
-    L1 miss rate; ties go to the smaller PD (cheaper hardware).
+    Replays L1 only through the functional backend (counters
+    bit-identical to the :func:`~repro.sim.replay.replay` oracle) and
+    picks the PD with the lowest L1 miss rate; ties go to the smaller PD
+    (cheaper hardware).
     """
-    streams = build_core_streams(trace, config)
+    from repro.sim.functional import build_core_arrays, functional_replay
+
+    arrays = build_core_arrays(
+        build_core_streams(trace, config), config, include_l2=False
+    )
     best_pd = candidates[0]
     best_miss = float("inf")
     for pd in candidates:
-        result = replay(
+        result = functional_replay(
             trace,
             config,
             make_design("spdp-b", pd=pd),
-            streams=streams,
+            arrays=arrays,
             include_l2=False,
         )
         miss = result.l1.miss_rate
@@ -268,21 +273,12 @@ def run_task(task: Task) -> Any:
     return sweep_optimal_pd(trace, task.config, task.pd_candidates)
 
 
-def run_task_timed(task: Task) -> Tuple[Any, float]:
-    """``(payload, wall_seconds)`` — used by the pool so per-task timing
-    reflects worker-side compute, not queueing."""
-    import time
-
-    t0 = time.perf_counter()
-    payload = run_task(task)
-    return payload, time.perf_counter() - t0
-
-
 def run_task_armed(task: Task, key: str, attempt: int, plan=None) -> Tuple[Any, float]:
     """Worker entry point with fault injection threaded behind it.
 
-    Identical to :func:`run_task_timed` when ``plan`` is ``None`` (the
-    production path) — the injector consultation is one attribute check.
+    Returns ``(payload, wall_seconds)``, so per-task timing reflects
+    worker-side compute, not queueing.  With ``plan`` ``None`` (the
+    production path) the injector consultation is one attribute check.
     With a :class:`repro.faults.FaultPlan` armed, the planned fault for
     ``(key, attempt)`` fires *before* any real work, so a faulted
     attempt never wastes simulation time and a clean retry recomputes

@@ -13,15 +13,18 @@ cost.  The speed comes from four observations about the oracle:
    L1 untouched, store hits restamp exactly like load hits).  Runs of
    hits and stores are therefore applied eagerly per core — walked
    scalar over plain-list state, escalating to chunked NumPy probes
-   once a run proves long — without consulting the global order.
+   once a run proves long — without consulting the global order.  The
+   PDP family mutates per-set clocks and samplers on every access, so
+   its walk calls the per-access hooks (with each access's precomputed
+   ``now``) and never escalates to probes; the state stays per-core.
 3. The only globally-ordered state is the shared L2 (tags, recency,
    dirty bits, victim bits), and it is all **per-(bank, set)**: the
    observable order is per-set order, not global order.  Designs that
    never feed L2 state back into L1 decisions (no victim-bit hints:
-   bs, bs-s, dbp) replay L1 to completion per core, then apply the
-   entire L2 event stream as batched per-set bursts with vectorized
-   victim selection (:mod:`repro.sim.functional.bursts`) — no heap at
-   all.
+   bs, bs-s, dbp, the PDP family, and every design with the L2
+   disabled) replay L1 to completion per core, then apply the entire
+   L2 event stream as batched per-set bursts with vectorized victim
+   selection (:mod:`repro.sim.functional.bursts`) — no heap at all.
 4. The hint-coupled G-Cache designs (gc, gc-m) must resolve each load
    miss in order (the hint changes the fill, which changes the core's
    future hits), so their load misses still drain through a min-heap —
@@ -31,9 +34,10 @@ cost.  The speed comes from four observations about the oracle:
    below every parked miss time when its core walks past it, so the
    deferral never reorders observable same-set state.
 
-The PDP designs mutate per-set clocks and samplers on every access, so
-they run through the generic event loop with batching disabled (every
-access is an event); their win comes only from the precomputed streams.
+:meth:`FunctionalEngine.run` therefore picks one of three paths from
+the design alone: the miss heap (victim bits in use), full L1+L2 bursts
+(null management: bs, bs-s), or the per-core walk followed by one L2
+burst (everything else).  The L2 burst runs only when the L2 is modelled.
 """
 
 from __future__ import annotations
@@ -165,6 +169,13 @@ class FunctionalEngine:
         self.scheduler = scheduler
         self.repl, self.mgmt = build_models(self.design)
         self._batchable = self.mgmt.batchable
+        if include_l2 and self.design.uses_victim_bits and not self._batchable:
+            # The miss heap resolves hints in order but calls no
+            # per-access hooks, so such a model would count wrong.
+            raise FunctionalUnsupportedError(
+                f"design {self.design.key!r} combines victim-bit hints "
+                f"with per-access management hooks"
+            )
         self._lru = self.repl.kind == "lru"
         # Which hooks the model actually overrides; the event loop skips
         # the Python call entirely for base-class no-ops.
@@ -229,7 +240,7 @@ class FunctionalEngine:
         self.instructions = 0
         self.transactions = 0
         self.kernels: List[str] = []
-        # Per-run scratch.
+        # Per-run scratch (miss heap only).
         self._arrays = None
         self._pos: List[int] = []
 
@@ -263,166 +274,66 @@ class FunctionalEngine:
                 include_l2=self.include_l2,
                 now_offset=self.transactions,
             )
-        self._arrays = arrays
-        self._pos = [0] * len(arrays)
-        prof = self._prof
-        if self._batchable and self.include_l2:
-            if self._vd_masks is None and not self._tick_interval:
-                # No cross-core feedback into L1: replay each core to
-                # completion, then burst the whole L2 event stream.
-                self._run_decoupled(arrays)
-            else:
-                # Hint-coupled (G-Cache): load misses through a heap,
-                # stores folded into the walks and flushed per set.
-                for A in arrays:
-                    A.ensure_probe()
-                    A.ensure_scalar_l1()
-                    A.ensure_times()
-                    A.ensure_scalar_l2()
-                if prof is None:
-                    self._drain_missheap(arrays)
-                else:
-                    t0 = perf_counter()
-                    p0 = prof["probe"]
-                    self._drain_missheap(arrays)
-                    prof["scalar_event"] += (
-                        perf_counter() - t0 - (prof["probe"] - p0)
-                    )
+        if self._vd_masks is not None:
+            self._run_missheap(arrays)
         else:
-            for A in arrays:
-                A.ensure_scalar_l1()
-                A.ensure_times()
-                if self._batchable:
-                    A.ensure_probe()
-                if self.include_l2:
-                    A.ensure_scalar_l2()
-            if prof is None:
-                self._drain(arrays)
+            # No cross-core feedback into L1: replay each core to
+            # completion, then burst the whole L2 event stream.
+            if self._null_mgmt:
+                ev = self._run_l1_burst(arrays)
             else:
-                t0 = perf_counter()
-                p0 = prof["probe"]
-                self._drain(arrays)
-                prof["scalar_event"] += (
-                    perf_counter() - t0 - (prof["probe"] - p0)
-                )
+                ev = self._run_walks(arrays)
+            if self.include_l2 and ev.size:
+                self._run_l2_burst(arrays, ev)
         self.transactions += sum(a.n for a in arrays)
         self.instructions += trace.instruction_count()
         self.kernels.append(trace.name)
-        self._arrays = None
-
-    def _drain(self, arrays) -> None:
-        """Generic event loop (scalar designs, or L2 disabled)."""
-        heap: List = []
-        push = heapq.heappush
-        pop = heapq.heappop
-        advance = self._advance
-        process = self._process_event
-        pos_l = self._pos
-        batchable = self._batchable
-        for c in range(len(arrays)):
-            t = advance(c)
-            if t is not None:
-                push(heap, (t, c))
-        while heap:
-            now, c = pop(heap)
-            process(c, now)
-            # Fast re-arm: when the core's next access is itself an event
-            # (store, or any access on a scalar design), skip the full
-            # _advance call and push its precomputed time directly.
-            A = arrays[c]
-            pos = pos_l[c]
-            if pos < A.n:
-                if batchable and not A.write_l[pos]:
-                    t = advance(c)
-                    if t is not None:
-                        push(heap, (t, c))
-                else:
-                    push(heap, (A.now_l[pos], c))
 
     # ------------------------------------------------------------------
-    # Fully decoupled path (bs, bs-s, dbp): per-core L1 walks, then one
-    # batched per-set L2 burst.
+    # Decoupled paths (every design without victim-bit hints): per-core
+    # L1 replay, then one batched per-set L2 burst.
     # ------------------------------------------------------------------
-    def _run_decoupled(self, arrays) -> None:
-        """Replay without any global ordering structure.
+    def _run_walks(self, arrays) -> np.ndarray:
+        """Walk every core's L1 start to finish; return the L2 events.
 
-        Valid when the design raises no victim-bit hints and has no
-        periodic tick: L1 evolution is then a pure function of the
-        core-private stream (mgmt state is per-core and never reads
+        Valid when the design raises no victim-bit hints: L1 evolution
+        is then a pure function of the core-private stream (mgmt state
+        is per-core and reads only that stream and its precomputed
         ``now``), and the L2 event stream is order-observable only
         within each (bank, set) — exactly what the burst kernel
-        preserves.  ``fill_time`` is not maintained on this path (only
-        the PDP family reads it, and PDP never routes here).
+        preserves.  Returns the events' flat positions over the cores'
+        concatenated columns.
         """
-        if self._null_mgmt:
-            self._run_decoupled_burst(arrays)
-            return
         prof = self._prof
         if prof is not None:
             t0 = perf_counter()
             p0 = prof["probe"]
-        ev_now: List[np.ndarray] = []
-        ev_part: List[np.ndarray] = []
-        ev_local: List[np.ndarray] = []
-        ev_set2: List[np.ndarray] = []
-        ev_write: List[np.ndarray] = []
-        for c in range(len(arrays)):
-            A = arrays[c]
-            A.ensure_probe()
+        batchable = self._batchable
+        out: List[np.ndarray] = []
+        offset = 0
+        for c, A in enumerate(arrays):
+            if batchable:
+                A.ensure_probe()
             A.ensure_scalar_l1()
+            A.ensure_times()
             ev: List[int] = []
             self._walk_core(c, A, ev)
-            if ev:
-                A.ensure_l2()
-                ep = np.array(ev, dtype=np.int64)
-                ev_now.append(A.now[ep])
-                ev_part.append(A.part[ep])
-                ev_local.append(A.local[ep])
-                ev_set2.append(A.set2[ep])
-                ev_write.append(A.write[ep])
+            out.append(np.array(ev, dtype=np.int64) + offset)
+            offset += A.n
         if prof is not None:
             prof["scalar_event"] += (
                 perf_counter() - t0 - (prof["probe"] - p0)
             )
-        if not ev_now:
-            return
-        if prof is not None:
-            t1 = perf_counter()
-        (
-            l2_loads,
-            l2_stores,
-            l2_load_hits,
-            l2_store_hits,
-            l2_fills,
-            l2_evictions,
-            l2_writebacks,
-        ) = l2_burst(
-            self.l2,
-            self.config.l2_bank_sets,
-            np.concatenate(ev_now),
-            np.concatenate(ev_part),
-            np.concatenate(ev_local),
-            np.concatenate(ev_set2),
-            np.concatenate(ev_write),
-            self.l2_reuse,
-        )
-        self.l2_loads += l2_loads
-        self.l2_stores += l2_stores
-        self.l2_load_hits += l2_load_hits
-        self.l2_store_hits += l2_store_hits
-        self.l2_fills += l2_fills
-        self.l2_evictions += l2_evictions
-        self.l2_writebacks += l2_writebacks
-        if prof is not None:
-            prof["burst"] += perf_counter() - t1
+        return np.concatenate(out)
 
-    def _run_decoupled_burst(self, arrays) -> None:
+    def _run_l1_burst(self, arrays) -> np.ndarray:
         """Null-management fast path (bs, bs-s): no scalar L1 at all.
 
         With no management hooks and no tick, L1 behaviour is a pure
         per-(core, set) function of the stream, so the whole L1 replay
         runs as one :func:`l1_burst` over every core's concatenated
-        columns, and the events it emits feed :func:`l2_burst` directly.
+        columns.  Returns the L2 events' flat positions, as
+        :meth:`_run_walks` does.
         """
         prof = self._prof
         if prof is not None:
@@ -430,11 +341,6 @@ class FunctionalEngine:
         S1 = self.config.l1_sets
         for A in arrays:
             A.ensure_probe()
-        group = np.concatenate(
-            [A.set1 + c * S1 for c, A in enumerate(arrays)]
-        )
-        line = np.concatenate([A.line for A in arrays])
-        write = np.concatenate([A.write for A in arrays])
         (
             loads,
             load_hits,
@@ -450,9 +356,9 @@ class FunctionalEngine:
             self.repl.max_rrpv,
             self.repl.insertion_rrpv,
             self._repl_st,
-            group,
-            line,
-            write,
+            np.concatenate([A.set1 + c * S1 for c, A in enumerate(arrays)]),
+            np.concatenate([A.line for A in arrays]),
+            np.concatenate([A.write for A in arrays]),
             self.l1_reuse,
         )
         self.l1_loads += loads
@@ -461,45 +367,78 @@ class FunctionalEngine:
         self.l1_store_hits += store_hits
         self.l1_fills += fills
         self.l1_evictions += evictions
-        if ev.size:
-            for A in arrays:
-                A.ensure_l2()
-            (
-                l2_loads,
-                l2_stores,
-                l2_load_hits,
-                l2_store_hits,
-                l2_fills,
-                l2_evictions,
-                l2_writebacks,
-            ) = l2_burst(
-                self.l2,
-                self.config.l2_bank_sets,
-                np.concatenate([A.now for A in arrays])[ev],
-                np.concatenate([A.part for A in arrays])[ev],
-                np.concatenate([A.local for A in arrays])[ev],
-                np.concatenate([A.set2 for A in arrays])[ev],
-                write[ev],
-                self.l2_reuse,
-            )
-            self.l2_loads += l2_loads
-            self.l2_stores += l2_stores
-            self.l2_load_hits += l2_load_hits
-            self.l2_store_hits += l2_store_hits
-            self.l2_fills += l2_fills
-            self.l2_evictions += l2_evictions
-            self.l2_writebacks += l2_writebacks
         if prof is not None:
             prof["burst"] += perf_counter() - t0
+        return ev
+
+    def _run_l2_burst(self, arrays, ev: np.ndarray) -> None:
+        """Apply the L2 events at flat positions ``ev`` as one burst."""
+        prof = self._prof
+        if prof is not None:
+            t0 = perf_counter()
+        for A in arrays:
+            A.ensure_probe()
+            A.ensure_l2()
+
+        def column(name: str) -> np.ndarray:
+            return np.concatenate([getattr(A, name) for A in arrays])[ev]
+
+        (
+            l2_loads,
+            l2_stores,
+            l2_load_hits,
+            l2_store_hits,
+            l2_fills,
+            l2_evictions,
+            l2_writebacks,
+        ) = l2_burst(
+            self.l2,
+            self.config.l2_bank_sets,
+            column("now"),
+            column("part"),
+            column("local"),
+            column("set2"),
+            column("write"),
+            self.l2_reuse,
+        )
+        self.l2_loads += l2_loads
+        self.l2_stores += l2_stores
+        self.l2_load_hits += l2_load_hits
+        self.l2_store_hits += l2_store_hits
+        self.l2_fills += l2_fills
+        self.l2_evictions += l2_evictions
+        self.l2_writebacks += l2_writebacks
+        if prof is not None:
+            prof["burst"] += perf_counter() - t0
+
+    def _count_ticks(self, c: int, accesses: int) -> None:
+        """Advance core ``c``'s periodic-tick countdown by ``accesses``.
+
+        All fires within the span collapse to one: callers settle the
+        countdown at every load miss (before its fill decision) and at
+        the end of the stream, and nothing in between — hits, stores and
+        their hooks — reads or re-arms the state a tick resets.
+        """
+        left = self._tick_left[c]
+        if accesses >= left:
+            self.mgmt.on_tick_fire(self._mgmt_st[c])
+            self._tick_left[c] = self._tick_interval - (
+                (accesses - left) % self._tick_interval
+            )
+        else:
+            self._tick_left[c] = left - accesses
 
     def _walk_core(self, c: int, A, ev: List[int]) -> None:
         """Sequential start-to-finish replay of one core's L1.
 
         Hits and stores are applied inline (escalating to NumPy probes
-        on long runs); load misses fill immediately with ``hint=False``.
-        Every L2 event's stream position (all stores + all load misses)
-        is appended to ``ev``, unordered — the burst kernel re-sorts per
-        (bank, set) by precomputed time.
+        on long runs of a batchable design); load misses fill
+        immediately with ``hint=False``.  Models with per-access hooks
+        (the PDP family) get ``on_hit``/``on_miss`` on every access and
+        are walked access by access.  Every hook sees the access's
+        precomputed ``now``.  Every L2 event's stream position (all
+        stores + all load misses) is appended to ``ev``, unordered — the
+        burst kernel re-sorts per (bank, set) by precomputed time.
         """
         l1 = self.l1[c]
         ways = l1.ways
@@ -508,21 +447,26 @@ class FunctionalEngine:
         use = l1.use
         stamp = l1.stamp
         rrpv = l1.rrpv
+        fill_time = l1.fill_time
         vc_l = l1.valid_count
         line_l = A.line_l
         write_l = A.write_l
         set1_l = A.set1_l
+        now_l = A.now_l
         n = A.n
         lru = self._lru
         rst = self._repl_st[c]
-        null_mgmt = self._null_mgmt
         mgmt = self.mgmt
         mst = self._mgmt_st[c]
+        hooks = not self._batchable
+        tick = self._tick_interval
         has_choose = self._has_choose
         has_evict = self._has_evict
         has_insert = self._has_insert
         insertion_rrpv = self.repl.insertion_rrpv
         select_victim = self.repl.select_victim
+        on_hit = mgmt.on_hit
+        on_miss = mgmt.on_miss
         fill_decision = mgmt.fill_decision
         on_bypass = mgmt.on_bypass
         choose_victim = mgmt.choose_victim
@@ -531,10 +475,13 @@ class FunctionalEngine:
         reuse = self.l1_reuse
         append = ev.append
         probe_fold = self._probe_fold
+        # Per-access hooks rule out folding a run into one probe.
+        probe_at = n + 1 if hooks else _PROBE_THRESHOLD
         loads = stores = load_hits = store_hits = 0
         fills = bypasses = evictions = 0
         pos = 0
         streak = 0
+        ticked = 0  # stream prefix already counted into the tick
         while pos < n:
             line = line_l[pos]
             set_index = set1_l[pos]
@@ -549,6 +496,8 @@ class FunctionalEngine:
                     stamp[idx] = t
                 else:
                     rrpv[idx] = 0
+                if hooks:
+                    on_hit(mst, l1, set_index, idx, line, now_l[pos])
                 if write_l[pos]:
                     stores += 1
                     store_hits += 1
@@ -558,7 +507,7 @@ class FunctionalEngine:
                     load_hits += 1
                 pos += 1
                 streak += 1
-                if streak >= _PROBE_THRESHOLD:
+                if streak >= probe_at:
                     pos, dl, dlh, ds, dsh = probe_fold(c, A, l1, pos, n, ev)
                     loads += dl
                     load_hits += dlh
@@ -566,6 +515,8 @@ class FunctionalEngine:
                     store_hits += dsh
                     streak = 0
                 continue
+            if hooks:
+                on_miss(mst, l1, set_index, now_l[pos])
             if write_l[pos]:
                 # Write-through no-allocate: store misses skip L1 state.
                 stores += 1
@@ -573,17 +524,17 @@ class FunctionalEngine:
                 pos += 1
                 streak += 1
                 continue
-            # Load miss: fill inline.  Hints never fire on this path and
-            # no mgmt model here reads `now` (see docstring), so pass 0.
+            # Load miss: fill inline (hints never fire on this path).
             loads += 1
             append(pos)
             streak = 0
-            bypass = False
-            if not null_mgmt:
-                bypass = fill_decision(mst, l1, set_index, line, False, 0)
-            if bypass:
+            now = now_l[pos]
+            if tick:
+                self._count_ticks(c, pos + 1 - ticked)
+                ticked = pos + 1
+            if fill_decision(mst, l1, set_index, line, False, now):
                 bypasses += 1
-                on_bypass(mst, l1, set_index, 0)
+                on_bypass(mst, l1, set_index, now)
             else:
                 vcv = vc_l[set_index]
                 if vcv < ways:
@@ -591,7 +542,7 @@ class FunctionalEngine:
                     vc_l[set_index] = vcv + 1
                 else:
                     way = (
-                        choose_victim(mst, l1, set_index, 0)
+                        choose_victim(mst, l1, set_index, now)
                         if has_choose
                         else None
                     )
@@ -605,11 +556,12 @@ class FunctionalEngine:
                     evictions += 1
                     reuse[use[idx]] += 1
                     if has_evict:
-                        on_evict(mst, l1, idx, 0)
+                        on_evict(mst, l1, idx, now)
                 idx = base + way
                 tag[idx] = line
                 tag_np[idx] = line
                 use[idx] = 0
+                fill_time[idx] = now
                 fills += 1
                 if lru:
                     t = rst[0] + 1
@@ -618,8 +570,10 @@ class FunctionalEngine:
                 else:
                     rrpv[idx] = insertion_rrpv
                 if has_insert:
-                    on_insert(mst, l1, idx, False, 0)
+                    on_insert(mst, l1, idx, False, now)
             pos += 1
+        if tick:
+            self._count_ticks(c, n - ticked)
         self.l1_loads += loads
         self.l1_stores += stores
         self.l1_load_hits += load_hits
@@ -701,6 +655,26 @@ class FunctionalEngine:
     # ------------------------------------------------------------------
     # Hint-coupled path (gc, gc-m): miss-only heap + deferred stores.
     # ------------------------------------------------------------------
+    def _run_missheap(self, arrays) -> None:
+        for A in arrays:
+            A.ensure_probe()
+            A.ensure_scalar_l1()
+            A.ensure_times()
+            A.ensure_scalar_l2()
+        self._arrays = arrays
+        self._pos = [0] * len(arrays)
+        prof = self._prof
+        if prof is None:
+            self._drain_missheap(arrays)
+        else:
+            t0 = perf_counter()
+            p0 = prof["probe"]
+            self._drain_missheap(arrays)
+            prof["scalar_event"] += (
+                perf_counter() - t0 - (prof["probe"] - p0)
+            )
+        self._arrays = None
+
     def _drain_missheap(self, arrays) -> None:
         """Event loop whose heap carries **load misses only**.
 
@@ -1078,16 +1052,8 @@ class FunctionalEngine:
                 streak += 1
                 continue
             break  # load miss: park in the heap
-        processed = pos - start
-        if self._tick_interval and processed:
-            left = self._tick_left[c]
-            if processed >= left:
-                self.mgmt.on_tick_fire(self._mgmt_st[c])
-                self._tick_left[c] = self._tick_interval - (
-                    (processed - left) % self._tick_interval
-                )
-            else:
-                self._tick_left[c] = left - processed
+        if self._tick_interval:
+            self._count_ticks(c, pos - start)
         self._pos[c] = pos
         self.l1_loads += loads
         self.l1_load_hits += load_hits
@@ -1158,290 +1124,6 @@ class FunctionalEngine:
         self.l2_fills += fills
         self.l2_evictions += evictions
         self.l2_writebacks += writebacks
-
-    # ------------------------------------------------------------------
-    # Fast-forward: apply runs of L1 load hits, return next event time
-    # ------------------------------------------------------------------
-    def _advance(self, c: int) -> Optional[int]:
-        A = self._arrays[c]
-        pos = self._pos[c]
-        if pos >= A.n:
-            return None
-        now_l = A.now_l
-        if not self._batchable:
-            # Every access is an event for scalar designs (PDP family).
-            return now_l[pos]
-        write_l = A.write_l
-        if write_l[pos]:
-            return now_l[pos]
-        l1 = self.l1[c]
-        tag = l1.tag
-        ways = l1.ways
-        line_l = A.line_l
-        set1_l = A.set1_l
-        line = line_l[pos]
-        base = set1_l[pos] * ways
-        seg = tag[base : base + ways]
-        if line not in seg:
-            return now_l[pos]
-        # At least one load hit: bind the rest of the state and walk.
-        n = A.n
-        use = l1.use
-        st = self._repl_st[c]
-        lru = self._lru
-        stamp = l1.stamp
-        rrpv = l1.rrpv
-        hits = 0
-        while True:
-            idx = base + seg.index(line)
-            use[idx] += 1
-            if lru:
-                st[0] += 1
-                stamp[idx] = st[0]
-            else:
-                rrpv[idx] = 0
-            pos += 1
-            hits += 1
-            if hits >= _PROBE_THRESHOLD:
-                pos, probed = self._probe_forward(c, l1, pos, n)
-                hits += probed
-                break
-            if pos >= n or write_l[pos]:
-                break
-            line = line_l[pos]
-            base = set1_l[pos] * ways
-            seg = tag[base : base + ways]
-            if line not in seg:
-                break
-        self.l1_loads += hits
-        self.l1_load_hits += hits
-        if self._tick_interval:
-            # `hits` accesses of shutdown countdown; all fires within
-            # the run collapse to one (hits never re-arm switches).
-            left = self._tick_left[c]
-            if hits >= left:
-                self.mgmt.on_tick_fire(self._mgmt_st[c])
-                self._tick_left[c] = self._tick_interval - (
-                    (hits - left) % self._tick_interval
-                )
-            else:
-                self._tick_left[c] = left - hits
-        self._pos[c] = pos
-        if pos >= n:
-            return None
-        return now_l[pos]
-
-    def _probe_forward(
-        self, c: int, l1: _L1State, pos: int, n: int
-    ) -> Tuple[int, int]:
-        """Chunked NumPy classification of a long load-hit run.
-
-        Returns ``(new_pos, hits_applied)``; stops at the first store or
-        load miss (the next event) or the end of the stream.
-        """
-        prof = self._prof
-        if prof is not None:
-            t0 = perf_counter()
-        A = self._arrays[c]
-        tag2d = l1.tag2d
-        line = A.line
-        set1 = A.set1
-        write = A.write
-        use = l1.use
-        ways = l1.ways
-        st = self._repl_st[c]
-        chunk = self._chunk[c]
-        total = 0
-        while True:
-            end = pos + chunk
-            if end > n:
-                end = n
-            sets = set1[pos:end]
-            eq = tag2d[sets] == line[pos:end, None]
-            stop = write[pos:end] | ~eq.any(axis=1)
-            nz = np.flatnonzero(stop)
-            k = int(nz[0]) if nz.size else end - pos
-            if k:
-                slots = (sets[:k] * ways + eq[:k].argmax(axis=1)).tolist()
-                for idx in slots:
-                    use[idx] += 1
-                self.repl.on_hit_run(st, l1, slots)
-                total += k
-                pos += k
-            if nz.size:
-                # Adapt the probe width to the observed run length.
-                self._chunk[c] = min(_MAX_CHUNK, max(_MIN_CHUNK, 2 * k))
-                break
-            if pos >= n:
-                break
-            chunk = min(_MAX_CHUNK, chunk * 2)
-            self._chunk[c] = chunk
-        if prof is not None:
-            prof["probe"] += perf_counter() - t0
-        return pos, total
-
-    # ------------------------------------------------------------------
-    # Events: stores and load misses, in global `now` order
-    # ------------------------------------------------------------------
-    def _process_event(self, c: int, now: int) -> None:
-        # The oracle's lookup/fill sequence, inlined: the per-access
-        # method dispatch the oracle pays is most of what this backend
-        # saves on miss-heavy streams.
-        A = self._arrays[c]
-        p = self._pos[c]
-        self._pos[c] = p + 1
-        line = A.line_l[p]
-        set_index = A.set1_l[p]
-        l1 = self.l1[c]
-        ways = l1.ways
-        base = set_index * ways
-        seg = l1.tag[base : base + ways]
-        if self._tick_interval:
-            left = self._tick_left[c] - 1
-            if left:
-                self._tick_left[c] = left
-            else:
-                self._tick_left[c] = self._tick_interval
-                self.mgmt.on_tick_fire(self._mgmt_st[c])
-        is_write = A.write_l[p]
-        if is_write:
-            self.l1_stores += 1
-        else:
-            self.l1_loads += 1
-        if line in seg:
-            hit = True
-            idx = base + seg.index(line)
-            l1.use[idx] += 1
-            if is_write:
-                self.l1_store_hits += 1
-            else:
-                self.l1_load_hits += 1
-            if self._lru:
-                st = self._repl_st[c]
-                st[0] += 1
-                l1.stamp[idx] = st[0]
-            else:
-                l1.rrpv[idx] = 0
-            if not self._batchable:
-                # Only the PDP family defines hit/miss hooks.
-                self.mgmt.on_hit(
-                    self._mgmt_st[c], l1, set_index, idx, line, now
-                )
-        else:
-            hit = False
-            if not self._batchable:
-                self.mgmt.on_miss(self._mgmt_st[c], l1, set_index, now)
-        if is_write:
-            if self.include_l2:
-                self._l2_access(
-                    c, A.part_l[p], A.local_l[p], A.set2_l[p], now, True
-                )
-        elif not hit:
-            hint = False
-            if self.include_l2:
-                hint = self._l2_access(
-                    c, A.part_l[p], A.local_l[p], A.set2_l[p], now, False
-                )
-            self._l1_fill(c, line, set_index, now, hint)
-
-    def _l1_fill(
-        self, c: int, line: int, set_index: int, now: int, hint: bool
-    ) -> None:
-        l1 = self.l1[c]
-        st = self._mgmt_st[c]
-        if not self._null_mgmt:
-            if self.mgmt.fill_decision(st, l1, set_index, line, hint, now):
-                self.l1_bypasses += 1
-                self.mgmt.on_bypass(st, l1, set_index, now)
-                return
-        ways = l1.ways
-        base = set_index * ways
-        vc = l1.valid_count[set_index]
-        if vc < ways:
-            # Fills always take the first invalid way and nothing ever
-            # invalidates, so the valid ways form a prefix.
-            way = vc
-            l1.valid_count[set_index] = vc + 1
-        else:
-            way = (
-                self.mgmt.choose_victim(st, l1, set_index, now)
-                if self._has_choose
-                else None
-            )
-            if way is None:
-                way = self.repl.select_victim(
-                    self._repl_st[c], l1, base, base + ways
-                )
-            idx = base + way
-            self.l1_evictions += 1
-            self.l1_reuse[l1.use[idx]] += 1
-            if self._has_evict:
-                self.mgmt.on_evict(st, l1, idx, now)
-        idx = base + way
-        l1.tag[idx] = line
-        l1.tag_np[idx] = line
-        l1.use[idx] = 0
-        l1.fill_time[idx] = now
-        self.l1_fills += 1
-        if self._lru:
-            rst = self._repl_st[c]
-            rst[0] += 1
-            l1.stamp[idx] = rst[0]
-        else:
-            l1.rrpv[idx] = self.repl.insertion_rrpv
-        if self._has_insert:
-            self.mgmt.on_insert(st, l1, idx, hint, now)
-
-    def _l2_access(
-        self, core: int, part: int, local: int, set_index: int, now: int,
-        is_write: bool,
-    ) -> bool:
-        bank = self.l2[part]
-        ways = bank.ways
-        base = set_index * ways
-        if is_write:
-            self.l2_stores += 1
-        else:
-            self.l2_loads += 1
-        seg = bank.tag[base : base + ways]
-        if local in seg:
-            idx = base + seg.index(local)
-            bank.use[idx] += 1
-            if is_write:
-                self.l2_store_hits += 1
-                bank.dirty[idx] = 1
-            else:
-                self.l2_load_hits += 1
-            bank.tick += 1
-            bank.stamp[idx] = bank.tick
-        else:
-            vc = bank.valid_count[set_index]
-            if vc < ways:
-                idx = base + vc
-                bank.valid_count[set_index] = vc + 1
-            else:
-                seg = bank.stamp[base : base + ways]
-                idx = base + seg.index(min(seg))
-                self.l2_evictions += 1
-                if bank.dirty[idx]:
-                    self.l2_writebacks += 1
-                self.l2_reuse[bank.use[idx]] += 1
-            bank.tag[idx] = local
-            bank.dirty[idx] = 1 if is_write else 0
-            bank.use[idx] = 0
-            bank.vb[idx] = 0
-            self.l2_fills += 1
-            bank.tick += 1
-            bank.stamp[idx] = bank.tick
-        if self._vd_masks is not None and not is_write:
-            mask = self._vd_masks[core]
-            prev = bank.vb[idx]
-            bank.vb[idx] = prev | mask
-            self.hints_returned += 1
-            if prev & mask:
-                self.contentions_detected += 1
-                return True
-        return False
 
     # ------------------------------------------------------------------
     # Reporting

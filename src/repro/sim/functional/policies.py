@@ -10,8 +10,9 @@ the timing one.
 A model is *batchable* when L1 load hits leave its decision state
 untouched (no ``on_hit``/``on_miss`` hooks): runs of consecutive load
 hits can then be fast-forwarded without consulting it.  The PDP family
-mutates per-set clocks and samplers on every access and therefore runs
-scalar, access by access.
+mutates per-set clocks and samplers on every access, so the engine's
+per-core walk visits its accesses one by one and calls ``on_hit``/
+``on_miss`` on each.
 """
 
 from __future__ import annotations
@@ -117,8 +118,8 @@ class MgmtModel:
     tick_interval = 0
     #: Declares that ``fill_decision(st, ..., hint=False, ...)`` returns
     #: False with **no side effects** whenever
-    #: ``st.switches[set_index] == 0`` — the engine's event loops then
-    #: skip the Python call on that (overwhelmingly common) path.
+    #: ``st.switches[set_index] == 0`` — the engine's miss heap then
+    #: skips the Python call on that (overwhelmingly common) path.
     fill_gate_switches = False
     #: Declares that ``on_insert`` with ``hint=False`` is a no-op, so
     #: the engine can skip the call for ordinary fills.

@@ -14,9 +14,9 @@ can be applied eagerly while shared-L2 events are ordered by their
 precomputed times.
 
 Columns are built **lazily**: the engine's per-design replay paths touch
-very different subsets (the scalar PDP event loop wants plain Python
-lists and never a NumPy array; the fully decoupled burst path wants
-NumPy columns and never most of the lists), so only ``line_l``/
+very different subsets (the access-by-access walk for the PDP family
+wants plain Python lists and no probe arrays; the fully decoupled burst
+path wants NumPy columns and never most of the lists), so only ``line_l``/
 ``write_l`` (the tuple split every other column derives from) and the
 closed-form ``now`` column are materialized up front.  Everything else
 is built on first request by an ``ensure_*`` method and cached, so a

@@ -12,7 +12,7 @@ from repro.experiments.ablations import (
     scheduler_ablation,
     victim_bit_sharing_ablation,
 )
-from repro.experiments.common import EvalSuite, sweep_optimal_pd
+from repro.experiments.common import PD_SWEEP, EvalSuite, sweep_optimal_pd
 from repro.experiments.fig2_reuse import fig2_reuse_distribution, render_fig2
 from repro.experiments.fig34_size_sensitivity import (
     render_fig3,
@@ -62,6 +62,28 @@ class TestSweep:
 
         pd = sweep_optimal_pd(trace, GPUConfig(), candidates=(4, 8))
         assert pd in (4, 8)
+
+    @pytest.mark.parametrize("bench", SUBSET)
+    def test_sweep_matches_oracle_sweep(self, bench):
+        """The sweep's functional replays pick the PD an oracle-driven
+        sweep picks (same lowest miss rate, same smaller-PD tie-break)."""
+        from repro.sim.config import GPUConfig
+        from repro.sim.designs import make_design
+        from repro.sim.replay import build_core_streams, replay
+
+        trace = build_benchmark(bench, **TINY)
+        config = GPUConfig()
+        streams = build_core_streams(trace, config)
+        miss = {
+            pd: replay(
+                trace, config, make_design("spdp-b", pd=pd),
+                streams=streams, include_l2=False,
+            ).l1.miss_rate
+            for pd in PD_SWEEP
+        }
+        best = min(miss.values())
+        expected = min(pd for pd in PD_SWEEP if miss[pd] < best + 1e-9)
+        assert sweep_optimal_pd(trace, config) == expected
 
 
 class TestFigureHarnesses:

@@ -33,8 +33,13 @@ from repro.cache.replacement.lru import LRUPolicy
 from repro.core.gcache import GCacheConfig
 from repro.sim.config import GPUConfig
 from repro.sim.designs import DESIGN_KEYS, DesignSpec, make_design
-from repro.sim.functional import functional_replay
-from repro.sim.replay import SCHEDULERS, replay
+from repro.sim.functional import (
+    FunctionalEngine,
+    FunctionalUnsupportedError,
+    functional_replay,
+)
+from repro.sim.replay import SCHEDULERS, build_core_streams, replay
+from repro.sim.simulator import simulate_sequence
 from repro.trace.suite import build_benchmark
 from repro.trace.trace import CTATrace, KernelTrace, OP_ALU, OP_LOAD, OP_STORE
 
@@ -171,10 +176,28 @@ def test_geometry_matches_oracle(name, key, spmv_trace, config):
     assert_equivalent(spmv_trace, cfg, _design(key))
 
 
-@pytest.mark.parametrize("key", ("bs", "gc", "pdp-3"))
+@pytest.mark.parametrize("key", ALL_DESIGNS)
 def test_l1_only_matches_oracle(key, spmv_trace, config):
-    """include_l2=False drops hints and the L2 model entirely."""
+    """include_l2=False drops hints and the L2 model entirely.
+
+    Covers the periodic tick on the per-core walk (gc-fast-shutdown)
+    and spdp-b at L1 only, which is exactly the PD sweep's replay.
+    """
     assert_equivalent(spmv_trace, config, _design(key), include_l2=False)
+
+
+def test_hooks_with_victim_bits_rejected(config):
+    """The miss heap calls no per-access hooks, so a hand-built spec
+    pairing PDP with victim-bit hints must fail loudly, not count wrong."""
+    pdp = make_design("pdp-3")
+    spec = replace(pdp, key="pdp-3-vb", uses_victim_bits=True)
+    with pytest.raises(FunctionalUnsupportedError, match="per-access"):
+        FunctionalEngine(config, spec)
+    # Without the L2 no hint can fire, so the walk replays it exactly.
+    assert_equivalent(
+        build_benchmark("SPMV", scale=0.02, seed=7), config, spec,
+        include_l2=False,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +411,10 @@ def burst_adversarial_kernels(draw):
 
 
 #: The designs that route through each burst path: full L1+L2 bursts
-#: (bs, bs-s), scalar walk + L2 burst (dbp), and the load-miss heap with
+#: (bs, bs-s), per-core walk + L2 burst (dbp, and the PDP family with
+#: its per-access hooks: pdp-3, spdp-b), and the load-miss heap with
 #: deferred store flushes (gc, gc-m).
-BURST_PATH_DESIGNS = ("bs", "bs-s", "dbp", "gc", "gc-m")
+BURST_PATH_DESIGNS = ("bs", "bs-s", "dbp", "pdp-3", "spdp-b", "gc", "gc-m")
 
 
 @pytest.mark.parametrize("key", BURST_PATH_DESIGNS)
@@ -404,3 +428,61 @@ def test_burst_adversarial_match_oracle(key, trace):
 @given(trace=burst_adversarial_kernels(), scheduler=st.sampled_from(SCHEDULERS))
 def test_burst_adversarial_schedulers_match_oracle(trace, scheduler):
     assert_equivalent(trace, ADV_CONFIG, _design("bs"), scheduler=scheduler)
+
+
+# ---------------------------------------------------------------------------
+# Warm-engine continuity: a kernel sequence carries L1/L2 contents, PDP
+# clocks and samplers, fill times and the periodic-tick countdown from
+# one run() into the next.  The oracle restarts its clock per kernel, so
+# it cannot referee a sequence: these counters are pinned values.
+# ---------------------------------------------------------------------------
+
+_L1_FIELDS = (
+    "loads", "stores", "load_hits", "store_hits", "fills", "bypasses",
+    "evictions",
+)
+_L2_FIELDS = (
+    "loads", "stores", "load_hits", "store_hits", "fills", "evictions",
+    "writebacks",
+)
+
+#: key -> (L1 counters, L2 counters, contentions_detected) for SD1 then
+#: SD2 at scale 0.1, seed 0, default geometry.
+WARM_SEQUENCE_PINS = {
+    "bs": ((11360, 4640, 940, 0, 10420, 0, 7860), (10420, 4640, 2625, 0, 12435, 4243, 2433), None),
+    "bs-s": ((11360, 4640, 948, 0, 10412, 0, 7852), (10412, 4640, 2617, 0, 12435, 4243, 2433), None),
+    "pdp-3": ((11360, 4640, 950, 0, 10410, 0, 7850), (10410, 4640, 2615, 0, 12435, 4243, 2429), None),
+    "pdp-8": ((11360, 4640, 950, 0, 10410, 0, 7850), (10410, 4640, 2615, 0, 12435, 4243, 2429), None),
+    "spdp-b": ((11360, 4640, 1074, 0, 7100, 3186, 4540), (10286, 4640, 2500, 0, 12426, 4234, 2408), None),
+    "gc": ((11360, 4640, 961, 0, 9087, 1312, 6527), (10399, 4640, 2605, 0, 12434, 4242, 2433), 895),
+    "gc-m": ((11360, 4640, 961, 0, 9087, 1312, 6527), (10399, 4640, 2605, 0, 12434, 4242, 2433), 895),
+    "dbp": ((11360, 4640, 959, 0, 9051, 1350, 6491), (10401, 4640, 2609, 0, 12432, 4240, 2418), None),
+    "gc-fast-shutdown": ((11360, 4640, 962, 0, 9987, 411, 7427), (10398, 4640, 2603, 0, 12435, 4243, 2433), 893),
+}
+
+
+@pytest.fixture(scope="module")
+def srad_sequence():
+    return [build_benchmark(b, scale=0.1, seed=0) for b in ("SD1", "SD2")]
+
+
+@pytest.mark.parametrize("key", DESIGN_KEYS + ("gc-fast-shutdown",))
+def test_warm_sequence_counters_pinned(key, srad_sequence):
+    r = simulate_sequence(srad_sequence, design=_design(key), fidelity="functional")
+    l1 = tuple(getattr(r.l1, f) for f in _L1_FIELDS)
+    l2 = tuple(getattr(r.l2, f) for f in _L2_FIELDS)
+    assert (l1, l2, r.extras.get("contentions_detected")) == WARM_SEQUENCE_PINS[key]
+
+
+@pytest.mark.parametrize("include_l2", (True, False))
+def test_tick_countdown_carries_across_runs(include_l2, spmv_trace, config):
+    """The periodic-tick countdown is a pure function of each core's
+    access count, on the miss heap and on the walk alike, and it
+    carries over from one run() into the next."""
+    engine = FunctionalEngine(
+        config, _design("gc-fast-shutdown"), include_l2=include_l2
+    )
+    lengths = [len(s) for s in build_core_streams(spmv_trace, config)]
+    for kernels in (1, 2):
+        engine.run(spmv_trace)
+        assert engine._tick_left == [64 - (kernels * n) % 64 for n in lengths]
