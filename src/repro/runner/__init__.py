@@ -32,8 +32,10 @@ Quickstart::
     print(engine.counters.render())      # hit/miss + timing summary
 
 Results are bit-identical to serial runs by construction (each task is
-executed from a self-contained description in a fresh policy/trace
-state); ``tests/test_runner_determinism.py`` locks this in.
+executed from a self-contained description in fresh policy state, and
+the trace a serial batch shares across one workload's tasks is
+read-only); ``tests/test_runner_determinism.py`` and
+``tests/test_runner_isolation.py`` lock this in.
 """
 
 from repro.runner.cache import (
@@ -57,7 +59,14 @@ from repro.runner.engine import (
     run_campaign,
 )
 from repro.runner.journal import CampaignJournal, JournalLockedError
-from repro.runner.task import PD_SWEEP, Task, run_task, sweep_optimal_pd, trace_digest
+from repro.runner.task import (
+    PD_SWEEP,
+    Task,
+    WorkloadSlot,
+    run_task,
+    sweep_optimal_pd,
+    trace_digest,
+)
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -75,6 +84,7 @@ __all__ = [
     "JournalLockedError",
     "ResultCache",
     "Task",
+    "WorkloadSlot",
     "config_fingerprint",
     "default_salt",
     "git_commit",

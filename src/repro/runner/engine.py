@@ -21,12 +21,17 @@ objects it
    and records per-task wall times, attempts and hit/miss/retry
    counters (:class:`~repro.stats.campaign.CampaignCounters`),
 
-and returns payloads aligned with the submitted batch.  Because every
-task is executed from scratch in its own interpreter state (workers
-rebuild traces and policy objects from the task description), results
-are bit-identical regardless of ``jobs``, submission order, or how many
-faults were recovered along the way — the property the determinism and
-chaos test layers lock in.
+and returns payloads aligned with the submitted batch.  Every task
+builds fresh policy and cache state from its description.  Pool workers
+also rebuild the trace per task; the serial path builds each workload
+once per batch instead, in a :class:`~repro.runner.task.WorkloadSlot`
+that hands the trace and its design-independent core arrays to the next
+task on the same workload, is emptied whenever the workload changes or
+an attempt fails, and is dropped when the batch returns.  Traces and
+arrays are read-only to every backend, so results are bit-identical
+regardless of ``jobs``, submission order, batch composition, or how
+many faults were recovered along the way — the property the
+determinism, isolation and chaos test layers lock in.
 
 Failure semantics
 -----------------
@@ -64,7 +69,7 @@ from repro.faults import FaultPlan, corrupt_file
 from repro.runner.cache import MISS, ResultCache, default_salt
 from repro.runner.coalesce import InflightEntry, InflightRegistry
 from repro.runner.journal import CampaignJournal
-from repro.runner.task import Task, run_task_armed
+from repro.runner.task import Task, WorkloadSlot, run_task_armed
 from repro.stats.campaign import CampaignCounters, TaskTiming
 
 __all__ = [
@@ -526,6 +531,9 @@ class CampaignEngine:
     def _run_serial(
         self, pending: List[Task], pending_keys: List[str], payloads: Dict[str, Any]
     ) -> None:
+        # Consecutive tasks on one workload share its trace and core
+        # arrays; the slot lives exactly as long as this batch.
+        slot = WorkloadSlot()
         for task, key in zip(pending, pending_keys):
             state = _TaskState(task, key)
             while not state.done:
@@ -538,11 +546,12 @@ class CampaignEngine:
                            attempt=state.attempt)
                 try:
                     payload, seconds = run_task_armed(
-                        task, key, state.attempt, self.faults
+                        task, key, state.attempt, self.faults, slot
                     )
                 except KeyboardInterrupt:
                     raise
                 except Exception as exc:
+                    slot.clear()  # a retry recomputes from scratch
                     self._charge(state, _classify(exc), _describe(exc), payloads)
                 else:
                     self._complete(state, payload, seconds, payloads)

@@ -18,6 +18,12 @@ Task kinds:
     The SPDP-B offline protecting-distance sweep; payload is the best
     PD (``int``).  Defined here (rather than in ``repro.experiments``)
     so workers need no experiment-layer imports.
+
+The access sequence never depends on the design, so consecutive tasks
+on one workload can share its build: a :class:`WorkloadSlot` passed to
+:func:`run_task` keeps the last workload's trace and design-independent
+core arrays and hands them to the next task with the same
+:meth:`Task.workload_identity`.
 """
 
 from __future__ import annotations
@@ -28,8 +34,15 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.sim.config import GPUConfig
 from repro.sim.designs import DesignSpec, make_design
-from repro.sim.replay import build_core_streams, replay
-from repro.sim.simulator import FIDELITIES, simulate
+# ``build_core_streams`` stays importable from here: perfbench's layer
+# tracer patches this name.
+from repro.sim.replay import build_core_streams, replay  # noqa: F401
+from repro.sim.simulator import (
+    FIDELITIES,
+    _functional_stream_scheduler,
+    _run_functional,
+    simulate,
+)
 from repro.trace.trace import KernelTrace
 
 from repro.runner.cache import config_fingerprint, stable_hash
@@ -37,6 +50,7 @@ from repro.runner.cache import config_fingerprint, stable_hash
 __all__ = [
     "PD_SWEEP",
     "Task",
+    "WorkloadSlot",
     "run_task",
     "run_task_armed",
     "sweep_optimal_pd",
@@ -54,19 +68,21 @@ def sweep_optimal_pd(
     trace: KernelTrace,
     config: GPUConfig,
     candidates: Sequence[int] = PD_SWEEP,
+    arrays=None,
 ) -> int:
     """Offline per-benchmark PD sweep (defines SPDP-B, as in the paper).
 
     Replays L1 only through the functional backend (counters
     bit-identical to the :func:`~repro.sim.replay.replay` oracle) and
     picks the PD with the lowest L1 miss rate; ties go to the smaller PD
-    (cheaper hardware).
+    (cheaper hardware).  ``arrays`` are the trace's prebuilt L1-only
+    core arrays (``prepare_core_arrays(..., include_l2=False)``); they
+    are built here when not given.
     """
-    from repro.sim.functional import build_core_arrays, functional_replay
+    from repro.sim.functional import functional_replay, prepare_core_arrays
 
-    arrays = build_core_arrays(
-        build_core_streams(trace, config), config, include_l2=False
-    )
+    if arrays is None:
+        arrays = prepare_core_arrays(trace, config, include_l2=False)
     best_pd = candidates[0]
     best_miss = float("inf")
     for pd in candidates:
@@ -199,28 +215,36 @@ class Task:
             kind = f"{kind}[{self.fidelity}]"
         return f"{kind}:{name}/{self.design}"
 
-    def fingerprint(self) -> Dict[str, Any]:
-        """Everything that determines this task's result, as plain data."""
-        fp: Dict[str, Any] = {
-            "kind": self.kind,
-            "config": config_fingerprint(self.config),
-        }
+    def workload_identity(self) -> Dict[str, Any]:
+        """The fingerprint entries that name this task's trace.
+
+        Tasks with equal identities run on the same trace, whatever
+        their kind, design or config, so :class:`WorkloadSlot` shares
+        one build between them.  The cache key embeds exactly these
+        entries, so the two can never disagree about a workload.
+        """
         if self.key_by_trace:
-            key = self.trace_key or trace_digest(self.trace)
-            fp["trace"] = key
-        elif self.scenario is not None:
+            return {"trace": self.trace_key or trace_digest(self.trace)}
+        if self.scenario is not None:
             from repro.scenarios import spec_digest
 
             # Content-addressed: the digest covers the canonical spec
             # with this task's scale/seed applied, so scale/seed need no
             # separate fingerprint entries.
-            fp["scenario"] = spec_digest(
-                self.scenario, scale=self.scale, seed=self.seed
-            )
-        else:
-            fp["benchmark"] = self.benchmark
-            fp["scale"] = self.scale
-            fp["seed"] = self.seed
+            return {
+                "scenario": spec_digest(
+                    self.scenario, scale=self.scale, seed=self.seed
+                )
+            }
+        return {"benchmark": self.benchmark, "scale": self.scale, "seed": self.seed}
+
+    def fingerprint(self) -> Dict[str, Any]:
+        """Everything that determines this task's result, as plain data."""
+        fp: Dict[str, Any] = {
+            "kind": self.kind,
+            "config": config_fingerprint(self.config),
+            **self.workload_identity(),
+        }
         if self.kind == "pd-sweep":
             fp["pd_candidates"] = list(self.pd_candidates)
         else:
@@ -255,25 +279,103 @@ class Task:
         return make_design(self.design, pd=self.pd)
 
 
-def run_task(task: Task) -> Any:
-    """Execute one task from scratch; the top-level worker entry point."""
-    trace = task.build_trace()
+class WorkloadSlot:
+    """One workload's build, shared by the consecutive tasks that run it.
+
+    Holds a single workload's :class:`KernelTrace` and at most one set
+    of its design-independent core arrays, keyed by ``(config,
+    scheduler, include_l2)``.  A task with a different
+    :meth:`Task.workload_identity` empties the slot *before* its own
+    build, so the slot never holds more than one workload; callers get
+    the most reuse by keeping their tasks workload-major.  Payloads are
+    unchanged by sharing: the trace and arrays are read-only to every
+    backend.
+
+    A slot belongs to one serial batch (see
+    :class:`~repro.runner.engine.CampaignEngine`) and is dropped when the
+    batch returns, so no later batch, pass or service job ever starts
+    warm; the batch empties it after a failed attempt so a retry
+    recomputes from scratch.
+    """
+
+    __slots__ = ("identity", "trace", "arrays_key", "arrays")
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop the held workload."""
+        self.identity: Optional[Dict[str, Any]] = None
+        self.trace: Optional[KernelTrace] = None
+        self.arrays_key: Optional[Tuple[GPUConfig, str, bool]] = None
+        self.arrays = None
+
+    def trace_for(self, task: Task) -> KernelTrace:
+        """``task``'s trace, built unless the slot already holds it."""
+        identity = task.workload_identity()
+        if self.trace is None or identity != self.identity:
+            self.clear()
+            self.trace = task.build_trace()
+            self.identity = identity
+        return self.trace
+
+    def arrays_for(self, config: GPUConfig, scheduler: str, include_l2: bool):
+        """Core arrays of the held trace, built unless already held."""
+        from repro.sim.functional.engine import prepare_core_arrays
+
+        key = (config, scheduler, include_l2)
+        if self.arrays is None or key != self.arrays_key:
+            self.arrays = None
+            self.arrays = prepare_core_arrays(
+                self.trace, config, scheduler, include_l2=include_l2
+            )
+            self.arrays_key = key
+        return self.arrays
+
+
+def run_task(task: Task, slot: Optional[WorkloadSlot] = None) -> Any:
+    """Execute one task; the top-level worker entry point.
+
+    Without ``slot`` the task builds its workload from scratch.  With
+    one, it reuses the slot's trace and arrays when they belong to the
+    same workload and leaves its own build there for the next task.
+    """
+    if slot is None:
+        slot = WorkloadSlot()
+    trace = slot.trace_for(task)
+    config = task.config
     if task.kind == "simulate":
+        if task.fidelity == "functional":
+            arrays = slot.arrays_for(
+                config, _functional_stream_scheduler(config), True
+            )
+            return _run_functional(
+                [trace], config, task.build_design(),
+                task.victim_share_factor, arrays=arrays,
+            )
         return simulate(
             trace,
-            task.config,
+            config,
             task.build_design(),
             victim_share_factor=task.victim_share_factor,
-            fidelity=task.fidelity,
         )
     if task.kind == "replay":
         return replay(
-            trace, task.config, task.build_design(), include_l2=task.include_l2
+            trace, config, task.build_design(), include_l2=task.include_l2
         )
-    return sweep_optimal_pd(trace, task.config, task.pd_candidates)
+    return sweep_optimal_pd(
+        trace, config, task.pd_candidates,
+        arrays=slot.arrays_for(config, "lrr", False),
+    )
 
 
-def run_task_armed(task: Task, key: str, attempt: int, plan=None) -> Tuple[Any, float]:
+def run_task_armed(
+    task: Task,
+    key: str,
+    attempt: int,
+    plan=None,
+    slot: Optional[WorkloadSlot] = None,
+) -> Tuple[Any, float]:
     """Worker entry point with fault injection threaded behind it.
 
     Returns ``(payload, wall_seconds)``, so per-task timing reflects
@@ -291,5 +393,5 @@ def run_task_armed(task: Task, key: str, attempt: int, plan=None) -> Tuple[Any, 
 
         inject(plan, key, attempt)
     t0 = time.perf_counter()
-    payload = run_task(task)
+    payload = run_task(task, slot)
     return payload, time.perf_counter() - t0

@@ -13,6 +13,7 @@ from repro.sim.functional.engine import (
     FunctionalEngine,
     FunctionalUnsupportedError,
     functional_replay,
+    prepare_core_arrays,
 )
 from repro.sim.functional.estimator import TimingEstimator
 from repro.sim.functional.streams import build_core_arrays
@@ -23,4 +24,5 @@ __all__ = [
     "functional_replay",
     "TimingEstimator",
     "build_core_arrays",
+    "prepare_core_arrays",
 ]

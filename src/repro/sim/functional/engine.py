@@ -64,7 +64,12 @@ from repro.sim.replay import ReplayResult, build_core_streams
 from repro.stats.counters import CacheStats
 from repro.trace.trace import KernelTrace
 
-__all__ = ["FunctionalEngine", "FunctionalUnsupportedError", "functional_replay"]
+__all__ = [
+    "FunctionalEngine",
+    "FunctionalUnsupportedError",
+    "functional_replay",
+    "prepare_core_arrays",
+]
 
 #: Consecutive non-miss accesses walked scalar before escalating to
 #: NumPy probes.
@@ -263,15 +268,13 @@ class FunctionalEngine:
                     "times; they cannot continue a warm engine"
                 )
         else:
-            if streams is None:
-                streams = build_core_streams(
-                    trace, self.config, self.scheduler
-                )
-            arrays = build_core_arrays(
-                streams,
+            arrays = prepare_core_arrays(
+                trace,
                 self.config,
-                addr_map=self.addr_map,
+                self.scheduler,
                 include_l2=self.include_l2,
+                streams=streams,
+                addr_map=self.addr_map,
                 now_offset=self.transactions,
             )
         if self._vd_masks is not None:
@@ -1182,6 +1185,38 @@ class FunctionalEngine:
             l2=l2_stats,
             extras=extras,
         )
+
+
+def prepare_core_arrays(
+    trace: KernelTrace,
+    config: GPUConfig,
+    scheduler: str = "lrr",
+    include_l2: bool = True,
+    streams=None,
+    addr_map: Optional[AddressMap] = None,
+    now_offset: int = 0,
+):
+    """Coalesce ``trace`` into per-core streams and lay them out as
+    :class:`~repro.sim.functional.streams.CoreArrays`.
+
+    The one builder behind :meth:`FunctionalEngine.run` and the campaign
+    runner's shared per-workload arrays, so every design replays exactly
+    the columns a fresh engine would build.  With ``now_offset=0`` the
+    result depends on the trace, ``config``, ``scheduler`` and
+    ``include_l2`` only, and engines never change a column of it (they
+    only add the lazily built ones), so one set serves any number of
+    cold engines.  ``streams`` skips the coalescing step when the caller
+    already holds them.
+    """
+    if streams is None:
+        streams = build_core_streams(trace, config, scheduler)
+    return build_core_arrays(
+        streams,
+        config,
+        addr_map=addr_map,
+        include_l2=include_l2,
+        now_offset=now_offset,
+    )
 
 
 def functional_replay(

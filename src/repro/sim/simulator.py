@@ -352,9 +352,15 @@ def _run_functional(
     config: GPUConfig,
     design: DesignSpec,
     victim_share_factor: int,
+    arrays=None,
 ) -> RunResult:
     """Drive the fast-functional backend and dress its counters as a
-    :class:`RunResult` (cycles/latency from the calibrated estimator)."""
+    :class:`RunResult` (cycles/latency from the calibrated estimator).
+
+    ``arrays`` are prebuilt :func:`~repro.sim.functional.prepare_core_arrays`
+    for a single kernel (with the L2 and this config's stream scheduler),
+    shared by the campaign runner across the designs of one workload.
+    """
     from repro.sim.functional import FunctionalEngine, TimingEstimator
 
     engine = FunctionalEngine(
@@ -364,7 +370,7 @@ def _run_functional(
         scheduler=_functional_stream_scheduler(config),
     )
     for trace in traces:
-        engine.run(trace)
+        engine.run(trace, arrays=arrays)
     rep = engine.result(benchmark="+".join(t.name for t in traces))
     estimator = TimingEstimator(config)
     cycles = estimator.estimate(engine.instructions, rep.l1, rep.l2)

@@ -223,6 +223,46 @@ class TestRetryBounded:
                          [t.attempts for t in engine.counters.timings]))
         assert runs[0] == runs[1]
 
+    def test_retry_rebuilds_the_shared_workload(self, monkeypatch):
+        """A failed attempt empties the batch's workload slot, so the
+        retry recomputes from scratch, not from the failed attempt's
+        build, and payloads stay bit-identical to a fault-free run."""
+        import pickle
+
+        import repro.trace.suite as trace_suite
+
+        original = trace_suite.build_benchmark
+        builds = []
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(trace_suite, "build_benchmark", counting)
+        tasks = [
+            Task(kind="simulate", benchmark="SD1", design=d, scale=0.02,
+                 fidelity="functional")
+            for d in ("bs", "gc")
+        ]
+        clean = CampaignEngine(jobs=1).run(tasks)
+        assert len(builds) == 1  # one workload, one build
+        # A plan that spares the first task and fails the second once.
+        salt = CampaignEngine(jobs=1).salt
+        first, second = (t.key(salt) for t in tasks)
+        plan = next(
+            plan for plan in (
+                FaultPlan(seed=seed, transient_rate=0.5, max_faults_per_task=1)
+                for seed in range(100)
+            )
+            if plan.decide(first, 0) is None and plan.decide(second, 0) == "transient"
+        )
+        engine = CampaignEngine(jobs=1, retries=1, backoff_base=0.0, faults=plan)
+        builds.clear()
+        faulted = engine.run(tasks)
+        assert engine.counters.retries == 1
+        assert len(builds) == 2  # the retry rebuilt the trace
+        assert [pickle.dumps(r) for r in faulted] == [pickle.dumps(r) for r in clean]
+
     def test_backoff_is_exponential_and_capped(self):
         engine = CampaignEngine(jobs=1, retries=10, backoff_base=0.1,
                                 backoff_cap=0.4)

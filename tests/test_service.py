@@ -92,7 +92,7 @@ def test_concurrent_engines_execute_shared_key_exactly_once(
     registry = InflightRegistry()
     executions = []
 
-    def gated(task, key, attempt, faults):
+    def gated(task, key, attempt, faults, slot=None):
         # Leader parks until both followers joined the entry, so the
         # coalescing window is provably open when it publishes.
         deadline = time.monotonic() + WAIT
@@ -101,7 +101,7 @@ def test_concurrent_engines_execute_shared_key_exactly_once(
                 break
             time.sleep(0.002)
         executions.append(key)
-        return real_run_task_armed(task, key, attempt, faults)
+        return real_run_task_armed(task, key, attempt, faults, slot)
 
     monkeypatch.setattr(engine_mod, "run_task_armed", gated)
 
@@ -141,12 +141,12 @@ def test_follower_reclaims_when_leader_fails(tmp_path, monkeypatch):
     calls = []
     follower_joined = threading.Event()
 
-    def flaky(task, key, attempt, faults):
+    def flaky(task, key, attempt, faults, slot=None):
         calls.append(threading.current_thread().name)
         if len(calls) == 1:
             follower_joined.wait(WAIT)  # keep the window open, then die
             raise RuntimeError("leader exploded")
-        return real_run_task_armed(task, key, attempt, faults)
+        return real_run_task_armed(task, key, attempt, faults, slot)
 
     monkeypatch.setattr(engine_mod, "run_task_armed", flaky)
 
@@ -287,10 +287,10 @@ class TestJobManager:
         calls = []
         gate = threading.Event()
 
-        def gated(task, key, attempt, faults):
+        def gated(task, key, attempt, faults, slot=None):
             calls.append(key)
             assert gate.wait(WAIT)
-            return real_run_task_armed(task, key, attempt, faults)
+            return real_run_task_armed(task, key, attempt, faults, slot)
 
         monkeypatch.setattr(engine_mod, "run_task_armed", gated)
         mgr = JobManager(None, salt="t")
@@ -317,10 +317,10 @@ class TestJobManager:
         started = threading.Event()
         gate = threading.Event()
 
-        def gated(task, key, attempt, faults):
+        def gated(task, key, attempt, faults, slot=None):
             started.set()
             assert gate.wait(WAIT)
-            return real_run_task_armed(task, key, attempt, faults)
+            return real_run_task_armed(task, key, attempt, faults, slot)
 
         monkeypatch.setattr(engine_mod, "run_task_armed", gated)
         mgr = JobManager(None, state_dir=tmp_path / "state", salt="t")
@@ -461,10 +461,10 @@ class TestDaemon:
         gate = threading.Event()
         started = threading.Event()
 
-        def gated(task, key, attempt, faults):
+        def gated(task, key, attempt, faults, slot=None):
             started.set()
             assert gate.wait(WAIT)
-            return real_run_task_armed(task, key, attempt, faults)
+            return real_run_task_armed(task, key, attempt, faults, slot)
 
         monkeypatch.setattr(engine_mod, "run_task_armed", gated)
         client = ServiceClient(port=daemon.port)
@@ -487,7 +487,7 @@ class TestDaemon:
         n_jobs = 3
         executions = []
 
-        def gated(task, key, attempt, faults):
+        def gated(task, key, attempt, faults, slot=None):
             registry = daemon.manager.inflight
             deadline = time.monotonic() + WAIT
             while registry.follower_count(key) < n_jobs - 1:
@@ -495,7 +495,7 @@ class TestDaemon:
                     break
                 time.sleep(0.002)
             executions.append(key)
-            return real_run_task_armed(task, key, attempt, faults)
+            return real_run_task_armed(task, key, attempt, faults, slot)
 
         monkeypatch.setattr(engine_mod, "run_task_armed", gated)
         client = ServiceClient(port=daemon.port)
